@@ -109,8 +109,8 @@ def packet_path_churn(
 
     Each iteration builds a mode-1-style MMT packet, encapsulates it in
     UDP/IPv4/Ethernet (O(1) pushes), then per hop rewrites hot header
-    fields (seq/age — value rewrites that must *not* invalidate the
-    memoized size), re-reads ``size_bytes``, and finally encodes the
+    fields (seq/age — value rewrites that must not change the size),
+    re-reads ``size_bytes``, and finally encodes the
     MMT header (validate-once path), decodes it back, and decapsulates.
 
     ``tracer`` exercises the causal-tracing hook pattern on the hot
@@ -162,8 +162,8 @@ def packet_path_churn(
         packet.push(EthernetHeader())
         pushes += 3
         for hop in range(hops):
-            size_bytes_total += packet.size_bytes  # memoized after hop 0
-            # Value rewrite (seeded jitter): size memo must hold.
+            size_bytes_total += packet.size_bytes
+            # Value rewrite (seeded jitter): the size must not change.
             mmt.age_ns = hop * 1000 + (seq_base & 0xFFF)
             size_bytes_total += packet.size_bytes
             size_checks += 2

@@ -41,17 +41,20 @@ combination, built lazily and cached forever. ``size_bytes`` is a dict
 lookup keyed on the raw feature bits, ``encode`` is a single
 ``Struct.pack`` over the whole header, and ``decode`` a single
 ``Struct.unpack``. IPv4 string↔int conversions are memoized (topologies
-use a handful of addresses). ``encode`` validates once per header
-*configuration*: the result of :meth:`validate` is cached against the
-header's size-mutation counter, so trusted in-pipeline rewrites of
-value fields (seq, age, addresses) do not pay re-validation — only a
-``features`` change does. The equivalence of the fast path with the
+use a handful of addresses). ``size_bytes`` is always computed from the
+current ``features`` word — no write is tracked, so a rewrite cannot
+leave a stale size. ``encode`` validates once per header
+*configuration*: a header remembers the ``features`` value its last
+:meth:`validate` passed, so trusted in-pipeline rewrites of value
+fields (seq, age, addresses) do not pay re-validation — only a
+``features`` change does. :meth:`validate` walks one precomputed
+(feature, bit, fields) table. The equivalence of the fast path with the
 reference layout is pinned by ``tests/core/test_header_fastpath.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from struct import Struct
 
 from ..netsim.headers import Header
@@ -155,6 +158,24 @@ for _bit, _fmt, _size in _EXT_SEGMENTS:
 
 _CORE_STRUCT = Struct(">BBHI")
 
+#: (feature, bit, extension fields) in wire order: the presence rule
+#: :meth:`MmtHeader.validate` checks — each field is set iff its
+#: feature bit is.
+_FEATURE_FIELDS: tuple[tuple[Feature, int, tuple[str, ...]], ...] = tuple(
+    (feature, int(feature), fields)
+    for feature, fields in (
+        (Feature.SEQUENCED, ("seq",)),
+        (Feature.RETRANSMISSION, ("buffer_addr",)),
+        (Feature.TIMELINESS, ("deadline_ns", "notify_addr")),
+        (Feature.AGE_TRACKING, ("age_ns", "age_budget_ns")),
+        (Feature.PACING, ("pace_rate_mbps",)),
+        (Feature.BACKPRESSURE, ("source_addr",)),
+        (Feature.DUPLICATION, ("dup_group", "dup_copies")),
+        (Feature.FLOW_ID, ("flow_id",)),
+    )
+)
+_AGE_TRACKING = int(Feature.AGE_TRACKING)
+
 
 class _Codec:
     """Precompiled wire codec for one extension-feature combination."""
@@ -228,9 +249,11 @@ class MmtHeader(Header):
     # FLOW_ID
     flow_id: int | None = None
 
-    #: Only a ``features`` rewrite can change the wire size (and the
-    #: validation verdict's shape); see :class:`Header`.
-    _SIZE_FIELDS = frozenset({"features"})
+    #: The ``features`` value the last :meth:`validate` passed (the
+    #: validate-once key of :meth:`encode`); None until validated.
+    _vfeatures: Feature | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     _EXTENSION_LAYOUT = (
         (Feature.SEQUENCED, 4),
@@ -307,44 +330,30 @@ class MmtHeader(Header):
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> None:
-        """Check field presence matches active feature bits."""
+        """Check field ranges and that field presence matches the
+        active feature bits."""
         if not 0 <= self.config_id <= 0xFF:
             raise HeaderError(f"config_id out of range: {self.config_id}")
         if not 0 <= self.experiment_id <= 0xFFFFFFFF:
             raise HeaderError(f"experiment_id out of range: {self.experiment_id}")
-        self._check(Feature.SEQUENCED, seq=self.seq)
-        self._check(Feature.RETRANSMISSION, buffer_addr=self.buffer_addr)
-        self._check(
-            Feature.TIMELINESS,
-            deadline_ns=self.deadline_ns,
-            notify_addr=self.notify_addr,
-        )
-        self._check(
-            Feature.AGE_TRACKING,
-            age_ns=self.age_ns,
-            age_budget_ns=self.age_budget_ns,
-        )
-        self._check(Feature.PACING, pace_rate_mbps=self.pace_rate_mbps)
-        self._check(Feature.BACKPRESSURE, source_addr=self.source_addr)
-        self._check(
-            Feature.DUPLICATION, dup_group=self.dup_group, dup_copies=self.dup_copies
-        )
-        self._check(Feature.FLOW_ID, flow_id=self.flow_id)
+        features = self.features
+        bits = int(features)
+        for feature, bit, fields in _FEATURE_FIELDS:
+            active = bits & bit
+            for name in fields:
+                value = getattr(self, name)
+                if active:
+                    if value is None:
+                        raise HeaderError(f"{feature.name} active but {name} is unset")
+                elif value is not None:
+                    raise HeaderError(f"{name} set but {feature.name} inactive")
         if self.flow_id is not None and not 0 <= self.flow_id <= 0xFFFF:
             raise HeaderError(f"flow_id out of range: {self.flow_id}")
-        if self.aged and not self.has(Feature.AGE_TRACKING):
+        if self.aged and not bits & _AGE_TRACKING:
             raise HeaderError("aged flag set without AGE_TRACKING")
         # Validate-once: remember which configuration this verdict is
         # for, so encode() only re-validates after a features rewrite.
-        object.__setattr__(self, "_vmut", self._mut)
-
-    def _check(self, feature: Feature, **fields: object) -> None:
-        active = self.has(feature)
-        for name, value in fields.items():
-            if active and value is None:
-                raise HeaderError(f"{feature.name} active but {name} is unset")
-            if not active and value is not None:
-                raise HeaderError(f"{name} set but {feature.name} inactive")
+        object.__setattr__(self, "_vfeatures", features)
 
     # -- codec ------------------------------------------------------------------
 
@@ -358,11 +367,7 @@ class MmtHeader(Header):
         ``validate=False`` skips it entirely (trusted in-pipeline use).
         """
         if validate is None:
-            try:
-                stale = self._vmut != self._mut
-            except AttributeError:
-                stale = True
-            if stale:
+            if self._vfeatures is not self.features:
                 self.validate()
         elif validate:
             self.validate()

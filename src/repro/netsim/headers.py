@@ -10,12 +10,13 @@ it subclasses :class:`Header` so it stacks like any other protocol.
 
 Performance notes (see README "Performance"): header dataclasses use
 ``slots=True`` (packets allocate several headers each, millions per
-run), and :class:`Header` maintains a *size-mutation counter* ``_mut``
-that bumps only when a field named in the class's ``_SIZE_FIELDS``
-changes. :class:`~repro.netsim.packet.Packet` memoizes the sum of its
-header sizes keyed on those counters, so per-hop field rewrites that
-cannot change the wire size (MACs, TTL, seq, ...) never invalidate the
-cached packet size.
+run) and every header assigns its fields at C speed
+(``Header.__setattr__`` is ``object.__setattr__``). Nothing tracks
+which fields change: a header's ``size_bytes`` is computed from its
+current fields, and :class:`~repro.netsim.packet.Packet` sums them on
+demand, so a rewrite — of any field, by anyone — can never leave a
+stale size behind. Only within one hop is a size carried: the one the
+egress queue admitted (see :mod:`repro.netsim.packet`).
 """
 
 from __future__ import annotations
@@ -46,42 +47,16 @@ class IpProto(IntEnum):
 class Header:
     """Base class for protocol headers; subclasses define ``size_bytes``.
 
-    Subclasses are ``@dataclass(slots=True)``. Fields listed in the
-    class attribute ``_SIZE_FIELDS`` can change the header's wire size;
-    assigning them bumps the mutation counter ``_mut`` so any memoized
-    :attr:`Packet.size_bytes <repro.netsim.packet.Packet.size_bytes>`
-    recomputes. In-place mutations that dodge ``__setattr__`` (e.g.
-    appending to a list field) must call :meth:`_touch` instead.
+    Subclasses are ``@dataclass(slots=True)``; ``size_bytes`` must be a
+    pure function of the header's current fields.
     """
 
-    __slots__ = ("_mut", "_vmut")
+    __slots__ = ()
 
-    #: Field names whose value affects ``size_bytes`` (class attribute).
-    _SIZE_FIELDS: frozenset = frozenset()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # Headers with a fixed wire size never need the mutation
-        # counter; give them C-speed attribute assignment (their
-        # dataclass __init__ otherwise funnels every field through the
-        # Python-level __setattr__ below).
-        if not cls._SIZE_FIELDS and "__setattr__" not in cls.__dict__:
-            cls.__setattr__ = object.__setattr__
-
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        if name in self._SIZE_FIELDS:
-            try:
-                object.__setattr__(self, "_mut", self._mut + 1)
-            except AttributeError:
-                object.__setattr__(self, "_mut", 1)
-
-    def _touch(self) -> None:
-        """Record a size-affecting in-place mutation (list fields)."""
-        try:
-            object.__setattr__(self, "_mut", self._mut + 1)
-        except AttributeError:
-            object.__setattr__(self, "_mut", 1)
+    #: Plain C-speed attribute assignment for every header class. Kept
+    #: as an explicit class attribute so instrumentation can wrap all
+    #: header writes at this one point.
+    __setattr__ = object.__setattr__
 
     @property
     def size_bytes(self) -> int:
@@ -181,8 +156,6 @@ class TcpHeader(Header):
     flag_cwr: bool = False
     window: int = 65535
     sack_blocks: tuple[tuple[int, int], ...] = field(default_factory=tuple)
-
-    _SIZE_FIELDS = frozenset({"sack_blocks"})
 
     @property
     def size_bytes(self) -> int:

@@ -191,11 +191,10 @@ class Port:
         total_tx = 0
         stats = self.stats
         for packet in burst:
-            total_tx += transmission_time_ns(
-                packet.size_bytes + WIRE_OVERHEAD_BYTES, link.rate_bps
-            )
+            size = packet.hop_bytes
+            total_tx += transmission_time_ns(size + WIRE_OVERHEAD_BYTES, link.rate_bps)
             stats.tx_packets += 1
-            stats.tx_bytes += packet.size_bytes
+            stats.tx_bytes += size
         self.sim.schedule(total_tx, self._train_tx_done, burst)
 
     def _train_tx_done(self, burst: list[Packet]) -> None:
@@ -213,7 +212,7 @@ class Port:
         stats = self.stats
         stats.rx_packets += len(packets)
         for packet in packets:
-            stats.rx_bytes += packet.size_bytes
+            stats.rx_bytes += packet.hop_bytes
         receive_train = getattr(self.node, "receive_train", None)
         if receive_train is not None:
             receive_train(packets, self)
@@ -231,11 +230,10 @@ class Port:
             self.tracer.queue_wait(packet, self.node.name, self.name)
         self._busy = True
         assert self.link is not None
-        tx_time = transmission_time_ns(
-            packet.size_bytes + WIRE_OVERHEAD_BYTES, self.link.rate_bps
-        )
+        size = packet.hop_bytes
+        tx_time = transmission_time_ns(size + WIRE_OVERHEAD_BYTES, self.link.rate_bps)
         self.stats.tx_packets += 1
-        self.stats.tx_bytes += packet.size_bytes
+        self.stats.tx_bytes += size
         self.sim.schedule(tx_time, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
@@ -246,7 +244,7 @@ class Port:
     def deliver(self, packet: Packet) -> None:
         """Ingress entry point, called by the link after propagation."""
         self.stats.rx_packets += 1
-        self.stats.rx_bytes += packet.size_bytes
+        self.stats.rx_bytes += packet.hop_bytes
         self.node.receive(packet, self)
 
     def __repr__(self) -> str:
@@ -411,7 +409,7 @@ class Link:
                 self.tracer.packet_event("link.drop", self.name, packet, reason="random")
             return
         if self.bit_error_rate > 0:
-            bits = packet.size_bytes * 8
+            bits = packet.hop_bytes * 8
             p_corrupt = 1.0 - (1.0 - self.bit_error_rate) ** bits
             if self._rng.random() < p_corrupt:
                 self.stats.lost_corruption += 1
@@ -461,7 +459,7 @@ class Link:
                     stats.lost_random += 1
                     continue
                 if ber > 0:
-                    bits = packet.size_bytes * 8
+                    bits = packet.hop_bytes * 8
                     p_corrupt = 1.0 - (1.0 - ber) ** bits
                     if rng.random() < p_corrupt:
                         stats.lost_corruption += 1

@@ -13,15 +13,17 @@ sized millions of times per run, so
 
 - instances use ``__slots__`` and the ``meta`` dict is allocated lazily
   on first access (control packets often never touch it);
-- the header stack is a :class:`collections.deque` subclass so
+- the header stack is a plain :class:`collections.deque`, so
   :meth:`Packet.push`/:meth:`Packet.pop` (encapsulation at the
-  outermost end) are O(1) while iteration stays outermost-first and
-  in-place mutation (``packet.headers.append/remove``) keeps working;
-- :attr:`Packet.size_bytes` memoizes the header-size sum. The cache is
-  invalidated by any structural change to the stack (every mutating
-  deque method notifies the owning packet) and by size-affecting header
-  field writes (tracked via each header's ``_mut`` counter, see
-  :class:`~repro.netsim.headers.Header`).
+  outermost end) are O(1) while iteration stays outermost-first;
+- :attr:`Packet.size_bytes` is computed from the headers on every
+  call. Nothing is memoized and no header write is tracked, so no
+  rewrite can leave a stale size behind. Instead the per-hop path
+  sizes a packet rarely: the egress port once for its MTU check and
+  the queue once at admission. The queue records the admitted size in
+  :attr:`Packet.hop_bytes`, and release, serialization and delivery
+  on that hop reuse it. ``hop_bytes`` means nothing outside that
+  window.
 """
 
 from __future__ import annotations
@@ -37,76 +39,16 @@ _packet_ids = itertools.count()
 H = TypeVar("H", bound=Header)
 
 
-class _HeaderStack(deque):
-    """Outermost-first header deque that invalidates its packet's
-    memoized size on every structural mutation."""
-
-    __slots__ = ("_packet",)
-
-    def __init__(self, packet: "Packet", headers: Iterable[Header] = ()) -> None:
-        super().__init__(headers)
-        self._packet = packet
-
-    def _dirty(self) -> None:
-        self._packet._hsize = -1
-
-    def append(self, header: Header) -> None:
-        super().append(header)
-        self._packet._hsize = -1
-
-    def appendleft(self, header: Header) -> None:
-        super().appendleft(header)
-        self._packet._hsize = -1
-
-    def pop(self) -> Header:  # type: ignore[override]
-        value = super().pop()
-        self._packet._hsize = -1
-        return value
-
-    def popleft(self) -> Header:
-        value = super().popleft()
-        self._packet._hsize = -1
-        return value
-
-    def remove(self, header: Header) -> None:
-        super().remove(header)
-        self._packet._hsize = -1
-
-    def insert(self, index: int, header: Header) -> None:
-        super().insert(index, header)
-        self._packet._hsize = -1
-
-    def extend(self, headers: Iterable[Header]) -> None:
-        super().extend(headers)
-        self._packet._hsize = -1
-
-    def extendleft(self, headers: Iterable[Header]) -> None:
-        super().extendleft(headers)
-        self._packet._hsize = -1
-
-    def clear(self) -> None:
-        super().clear()
-        self._packet._hsize = -1
-
-    def __setitem__(self, index, header) -> None:
-        super().__setitem__(index, header)
-        self._packet._hsize = -1
-
-    def __delitem__(self, index) -> None:
-        super().__delitem__(index)
-        self._packet._hsize = -1
-
-    def __iadd__(self, headers):
-        result = super().__iadd__(headers)
-        self._packet._hsize = -1
-        return result
-
-
 class Packet:
-    """A packet with an outermost-first header stack and a counted payload."""
+    """A packet with an outermost-first header stack and a counted payload.
+
+    ``hop_bytes`` is the size the current hop's egress queue admitted
+    (set by the queue, unset until the first admission); see the module
+    notes for the window in which it is valid.
+    """
 
     __slots__ = ("_headers", "payload_size", "payload", "_meta", "packet_id",
-                 "_hsize", "_htoken")
+                 "hop_bytes")
 
     def __init__(
         self,
@@ -116,7 +58,7 @@ class Packet:
         meta: dict[str, Any] | None = None,
         packet_id: int | None = None,
     ) -> None:
-        self._headers = _HeaderStack(self, headers or ())
+        self._headers = deque(headers or ())
         if payload is not None:
             payload_size = len(payload)
         if payload_size < 0:
@@ -125,11 +67,9 @@ class Packet:
         self.payload = payload
         self._meta = meta
         self.packet_id = next(_packet_ids) if packet_id is None else packet_id
-        self._hsize = -1  # memoized header-size sum; -1 = stale
-        self._htoken = -1
 
     @property
-    def headers(self) -> _HeaderStack:
+    def headers(self) -> deque[Header]:
         """The header stack, outermost-first (deque: O(1) at both ends)."""
         return self._headers
 
@@ -143,17 +83,11 @@ class Packet:
 
     @property
     def size_bytes(self) -> int:
-        """Total on-wire size: all headers plus payload (memoized)."""
-        token = 0
+        """Total on-wire size: all headers plus payload, computed now."""
+        total = self.payload_size
         for header in self._headers:
-            token += getattr(header, "_mut", 0)
-        if self._hsize < 0 or token != self._htoken:
-            total = 0
-            for header in self._headers:
-                total += header.size_bytes
-            self._hsize = total
-            self._htoken = token
-        return self._hsize + self.payload_size
+            total += header.size_bytes
+        return total
 
     def find(self, header_type: type[H]) -> H | None:
         """Return the first (outermost) header of the given type, or None."""

@@ -68,18 +68,25 @@ class QueueDiscipline:
         """Fraction of byte capacity currently used."""
         return self.bytes_queued / self.capacity_bytes
 
-    def _admit(self, packet: Packet) -> bool:
-        if self.bytes_queued + packet.size_bytes > self.capacity_bytes:
+    def _admit(self, packet: Packet, size: int) -> bool:
+        """Book ``size`` (the packet's current ``size_bytes``) or refuse.
+
+        An admitted packet carries its size in ``hop_bytes`` for the rest
+        of the hop: release, serialization and delivery reuse it.
+        """
+        queued = self.bytes_queued + size
+        if queued > self.capacity_bytes:
             self.dropped += 1
             return False
-        self.bytes_queued += packet.size_bytes
-        if self.bytes_queued > self.peak_bytes:
-            self.peak_bytes = self.bytes_queued
+        packet.hop_bytes = size
+        self.bytes_queued = queued
+        if queued > self.peak_bytes:
+            self.peak_bytes = queued
         self.enqueued += 1
         return True
 
     def _release(self, packet: Packet) -> Packet:
-        self.bytes_queued -= packet.size_bytes
+        self.bytes_queued -= packet.hop_bytes
         return packet
 
 
@@ -91,7 +98,7 @@ class DropTailQueue(QueueDiscipline):
         self._fifo: deque[Packet] = deque()
 
     def enqueue(self, packet: Packet) -> bool:
-        if not self._admit(packet):
+        if not self._admit(packet, packet.size_bytes):
             return False
         self._fifo.append(packet)
         return True
@@ -126,7 +133,7 @@ class PriorityQueue(QueueDiscipline):
         self._queues: list[deque[Packet]] = [deque() for _ in range(bands)]
 
     def enqueue(self, packet: Packet) -> bool:
-        if not self._admit(packet):
+        if not self._admit(packet, packet.size_bytes):
             return False
         band = min(max(self._classifier(packet), 0), self.bands - 1)
         self._queues[band].append(packet)
@@ -207,7 +214,7 @@ class RedQueue(QueueDiscipline):
                     self.dropped += 1
                     self.early_drops += 1
                     return False
-        if not self._admit(packet):
+        if not self._admit(packet, packet.size_bytes):
             return False
         self._fifo.append(packet)
         return True
@@ -260,12 +267,10 @@ class DeadlineAwareQueue(QueueDiscipline):
             self.dropped += 1
             self.late_drops += 1
             return False
-        if (
-            self.bytes_queued + packet.size_bytes > self.capacity_bytes
-            and deadline is not None
-        ):
-            self._push_out(packet.size_bytes, deadline)
-        if not self._admit(packet):
+        size = packet.size_bytes
+        if self.bytes_queued + size > self.capacity_bytes and deadline is not None:
+            self._push_out(size, deadline)
+        if not self._admit(packet, size):
             return False
         if deadline is None:
             self._best_effort.append(packet)

@@ -1,11 +1,14 @@
 """Run reports: bench regression diffs and health rendering.
 
 ``diff_bench`` compares a freshly produced ``BENCH_*.json`` against the
-committed baseline. Metrics split into two classes:
+committed baseline. Metrics split into three classes:
 
-* **timing** — names ending ``_per_second`` (higher is better) or the
-  ``wall_time_s`` bookkeeping field (lower is better). These vary with
-  the machine, so they compare by ratio against a tolerance band.
+* **timing** — names ending ``_per_second`` or ``_x`` (rates and
+  speed-ups: higher is better), or ``_wall_s`` and the ``wall_time_s``
+  bookkeeping field (lower is better). These vary with the machine, so
+  they compare by ratio against a tolerance band.
+* **host** — facts about the machine a run used (:data:`HOST_KEYS`,
+  e.g. its core count). They are reported, never judged.
 * **deterministic** — everything else (operation counts, digests,
   byte totals). Seeded runs must reproduce these exactly; any
   difference is ``drift``, which is just as fatal as a regression
@@ -54,6 +57,10 @@ GRID_KEYS = (
     "messages",
 )
 
+#: Row keys that describe the host, not the workload: two machines
+#: legitimately differ on them, so a difference is a ``host`` row.
+HOST_KEYS = ("cores",)
+
 
 class ReportError(Exception):
     """A diff input is unusable (bad provenance, missing file, ...)."""
@@ -67,7 +74,7 @@ class DiffRow:
     baseline: object
     fresh: object
     ratio: float | None
-    status: str  # ok | improvement | regression | drift | added | removed
+    status: str  # ok | improvement | regression | drift | host | added | removed
 
 
 @dataclass
@@ -112,11 +119,11 @@ class BenchDiff:
 
 
 def _is_timing(metric: str) -> bool:
-    return metric.endswith("_per_second") or metric == "wall_time_s"
+    return metric == "wall_time_s" or metric.endswith(("_per_second", "_x", "_wall_s"))
 
 
 def _higher_is_better(metric: str) -> bool:
-    return metric.endswith("_per_second")
+    return metric.endswith(("_per_second", "_x"))
 
 
 def _check_provenance(fresh: BenchResult, baseline: BenchResult) -> None:
@@ -160,6 +167,9 @@ def _diff_metric(
     bench: str, case: str, metric: str, base, new, tolerance: float
 ) -> DiffRow:
     numeric = isinstance(base, (int, float)) and isinstance(new, (int, float))
+    if metric in HOST_KEYS:
+        status = "ok" if base == new else "host"
+        return DiffRow(bench, case, metric, base, new, None, status)
     if numeric and _is_timing(metric):
         ratio = (new / base) if base else None
         if ratio is None:

@@ -101,10 +101,6 @@ class IntHeader(Header):
     max_hops: int = DEFAULT_MAX_HOPS
     hops: list[IntPostcard] = field(default_factory=list)
 
-    #: ``hops`` grows in place (see push), which changes the wire size;
-    #: push() calls _touch() so memoized packet sizes recompute.
-    _SIZE_FIELDS = frozenset({"hops", "max_hops"})
-
     @property
     def size_bytes(self) -> int:
         return INT_BASE_BYTES + POSTCARD_BYTES * len(self.hops)
@@ -119,7 +115,6 @@ class IntHeader(Header):
         if len(self.hops) >= self.max_hops:
             return False
         self.hops.append(postcard)
-        self._touch()  # in-place growth: invalidate memoized packet sizes
         return True
 
     def encode(self) -> bytes:

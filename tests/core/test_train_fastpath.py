@@ -52,10 +52,24 @@ def make_train(features: Feature, count: int) -> list[MmtHeader]:
     return [make_header(features, salt=index) for index in range(count)]
 
 
+@pytest.fixture
+def validate_calls(monkeypatch) -> list[MmtHeader]:
+    """Every header :meth:`MmtHeader.validate` runs on, in call order."""
+    calls: list[MmtHeader] = []
+    real_validate = MmtHeader.validate
+
+    def counting_validate(self):
+        calls.append(self)
+        real_validate(self)
+
+    monkeypatch.setattr(MmtHeader, "validate", counting_validate)
+    return calls
+
+
 # -- byte identity across every extension combination -------------------------
 
 
-def test_sweep_all_combinations_match_reference_concatenation():
+def test_sweep_all_combinations_match_reference_concatenation(validate_calls):
     """A homogeneous train is exactly per-header reference bytes, joined."""
     for combo, features in enumerate(all_combinations()):
         train = make_train(features, count=4)
@@ -70,9 +84,9 @@ def test_sweep_all_combinations_match_reference_concatenation():
             assert_headers_equal(actual, original)
         # Decoded headers land in the validate-once state, so re-encoding
         # them pays no validation and reproduces the same bytes.
+        validate_calls.clear()
         assert bytes(encode_train(decoded)) == expected
-        for header in decoded:
-            assert header._vmut == header._mut
+        assert validate_calls == []
 
 
 def test_decode_train_matches_reference_decode_field_for_field():
@@ -88,7 +102,7 @@ def test_decode_train_matches_reference_decode_field_for_field():
         assert position == len(wire)
 
 
-def test_one_packet_train_is_byte_identical_to_single_packet_path():
+def test_one_packet_train_is_byte_identical_to_single_packet_path(validate_calls):
     for features in all_combinations():
         header = make_header(features, salt=9)
         assert bytes(encode_train([header])) == header.encode()
@@ -96,7 +110,9 @@ def test_one_packet_train_is_byte_identical_to_single_packet_path():
         prefix, consumed = MmtHeader.decode_prefix(header.encode())
         assert consumed == header.size_bytes
         assert_headers_equal(decoded, prefix)
-        assert decoded._vmut == decoded._mut == prefix._vmut == prefix._mut
+        validate_calls.clear()
+        assert decoded.encode() == prefix.encode() == header.encode()
+        assert validate_calls == []
 
 
 # -- heterogeneous trains ------------------------------------------------------

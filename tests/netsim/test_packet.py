@@ -89,12 +89,12 @@ def test_repr_mentions_headers():
     assert "Ipv4Header" in repr(make_packet())
 
 
-# -- memoized size_bytes invalidation -----------------------------------------
-# size_bytes is cached (it is the per-hop hot path); these pin every
-# way the cache must be refreshed.
+# -- size_bytes follows every header change -----------------------------------
+# size_bytes is computed from the headers on demand; these pin that
+# every way of changing the stack or a header shows in the size.
 
 
-def test_size_memo_tracks_structural_mutation():
+def test_size_tracks_structural_mutation():
     p = make_packet(100)
     assert p.size_bytes == 18 + 20 + 8 + 100
     p.push(EthernetHeader())  # O(1) encapsulation
@@ -109,17 +109,17 @@ def test_size_memo_tracks_structural_mutation():
     assert p.size_bytes == 100
 
 
-def test_size_memo_tracks_size_affecting_field_write():
+def test_size_tracks_size_affecting_field_write():
     p = Packet(headers=[TcpHeader()], payload_size=10)
     assert p.size_bytes == 20 + 10
-    # sack_blocks is a _SIZE_FIELDS entry: assignment must invalidate.
+    # sack_blocks sets the option length: the write must show in the size.
     p.find(TcpHeader).sack_blocks = ((0, 10),)
     assert p.size_bytes == 20 + 2 + 8 + 10
 
 
-def test_size_memo_survives_value_only_rewrites():
+def test_size_survives_value_only_rewrites():
     """Per-hop rewrites of fixed-size fields (TTL, MACs, ports) must
-    neither change nor invalidate the cached size."""
+    not change the size."""
     p = make_packet(100)
     before = p.size_bytes
     ip = p.find(Ipv4Header)
@@ -129,7 +129,7 @@ def test_size_memo_survives_value_only_rewrites():
     assert p.size_bytes == before
 
 
-def test_size_memo_tracks_setitem_replacement():
+def test_size_tracks_setitem_replacement():
     p = make_packet(0)
     p.headers[2] = TcpHeader()
     assert p.size_bytes == 18 + 20 + 20

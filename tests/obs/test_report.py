@@ -62,6 +62,41 @@ def test_wall_time_lower_is_better():
     assert diff_bench(fast, base).ok
 
 
+def sweep_statuses(diff) -> dict[str, str]:
+    """Metric -> status for the ``sweep`` case (the run-level
+    ``wall_time_s`` row is left out)."""
+    return {r.metric: r.status for r in diff.rows if r.case == "sweep"}
+
+
+def test_sweep_wall_times_are_timing_lower_is_better():
+    for metric in ("sequential_wall_s", "sharded_wall_s"):
+        base = bench(sweep={metric: 2.0})
+        slow = diff_bench(bench(sweep={metric: 3.0}), base)
+        assert sweep_statuses(slow) == {metric: "regression"}
+        fast = diff_bench(bench(sweep={metric: 1.0}), base)
+        assert sweep_statuses(fast) == {metric: "improvement"}
+        in_band = diff_bench(bench(sweep={metric: 2.1}), base)
+        assert sweep_statuses(in_band) == {metric: "ok"}
+
+
+def test_speedup_is_timing_higher_is_better():
+    base = bench(sweep=dict(speedup_x=1.5))
+    slow = diff_bench(bench(sweep=dict(speedup_x=0.5)), base)
+    assert sweep_statuses(slow) == {"speedup_x": "regression"}
+    fast = diff_bench(bench(sweep=dict(speedup_x=3.0)), base)
+    assert sweep_statuses(fast) == {"speedup_x": "improvement"}
+
+
+def test_core_count_is_host_provenance_not_drift():
+    base = bench(sweep=dict(cores=1, identical=1))
+    diff = diff_bench(bench(sweep=dict(cores=8, identical=1)), base)
+    assert diff.ok and diff.exit_status == EXIT_OK
+    assert sweep_statuses(diff) == {"cores": "host", "identical": "ok"}
+    assert "[       host] sweep/cores" in render_diff(diff)
+    same = diff_bench(bench(sweep=dict(cores=1, identical=1)), base)
+    assert sweep_statuses(same) == {"cores": "ok", "identical": "ok"}
+
+
 def test_tolerance_band_is_inclusive():
     base = bench(fig4=dict(packets_per_second=1000))
     edge = bench(fig4=dict(packets_per_second=834))  # worse ratio 1.199
