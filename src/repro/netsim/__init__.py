@@ -22,7 +22,6 @@ from .link import Link, Port
 from .loss import GilbertElliottLoss, LossModel, UniformLoss
 from .node import Node, SinkNode
 from .packet import Packet
-from .recorder import TraceEntry, TraceRecorder
 from .queues import (
     DeadlineAwareQueue,
     DropTailQueue,
@@ -39,7 +38,6 @@ from .topology import (
     TopologyError,
     build_leaf_spine,
 )
-from .trace import FlowRecord, FlowTracker
 from . import units
 
 __all__ = [
@@ -49,8 +47,6 @@ __all__ = [
     "EthernetHeader",
     "EtherType",
     "Event",
-    "FlowRecord",
-    "FlowTracker",
     "Header",
     "Host",
     "IpProto",
@@ -72,8 +68,6 @@ __all__ = [
     "SinkNode",
     "TcpHeader",
     "Timer",
-    "TraceEntry",
-    "TraceRecorder",
     "LeafSpine",
     "LeafSpineSpec",
     "Topology",

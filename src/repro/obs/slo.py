@@ -19,10 +19,10 @@ that led up to the breach survives ring eviction (PR 5 semantics).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
+from ..analysis.metrics import percentile
 from .sampler import SampleSeries, Sampler
 
 __all__ = ["HealthEvent", "HealthReport", "SloRule", "Watchdog"]
@@ -37,13 +37,6 @@ _RULE_RE = re.compile(
     r"\s*(?P<op>==|<=|>=|<|>)"
     r"\s*(?P<threshold>-?\d+(?:\.\d+)?)\s*$"
 )
-
-
-def _percentile(values: list[int], fraction: float) -> float:
-    """Nearest-rank percentile (same convention as repro.analysis)."""
-    ordered = sorted(values)
-    rank = max(1, math.ceil(fraction * len(ordered)))
-    return float(ordered[rank - 1])
 
 
 @dataclass(frozen=True)
@@ -108,7 +101,7 @@ class SloRule:
             return min(values)
         if self.agg == "mean":
             return sum(values) / len(values)
-        return _percentile(values, 0.5 if self.agg == "p50" else 0.99)
+        return percentile(values, 0.5 if self.agg == "p50" else 0.99)
 
     def holds(self, observed: int | float) -> bool:
         if self.op == "<=":

@@ -265,3 +265,26 @@ def test_encode_default_still_rejects_invalid_new_configuration():
     header.features = Feature.SEQUENCED | Feature.RETRANSMISSION  # no buffer_addr
     with pytest.raises(HeaderError):
         header.encode()
+
+def test_decoded_headers_reencode_without_validation(monkeypatch):
+    """Decoded headers land in the validate-once state: re-encoding them,
+    plain or into a buffer at an offset, pays no validation."""
+    wires = [make_header(features, salt=9).encode() for features in all_combinations()]
+    calls = []
+    real_validate = MmtHeader.validate
+
+    def counting_validate(self):
+        calls.append(1)
+        real_validate(self)
+
+    monkeypatch.setattr(MmtHeader, "validate", counting_validate)
+    for wire in wires:
+        decoded = MmtHeader.decode(wire)
+        prefix, consumed = MmtHeader.decode_prefix(wire)
+        assert consumed == prefix.size_bytes == len(wire)
+        calls.clear()
+        assert decoded.encode() == prefix.encode() == wire
+        buffer = bytearray(16 + len(wire))
+        assert prefix.encode_into(buffer, offset=16) == len(wire)
+        assert bytes(buffer[16:]) == wire
+        assert calls == []

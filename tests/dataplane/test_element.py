@@ -21,6 +21,7 @@ from repro.dataplane import (
     TofinoSwitch,
 )
 from repro.netsim import (
+    EthernetHeader,
     EtherType,
     IpProto,
     Ipv4Header,
@@ -149,6 +150,62 @@ def test_mirror_to_buffer_via_tap_program(sim):
     sim.run()
     assert element.stats.mirrored_to_buffer == 3
     assert len(buffer) == 3
+
+
+def send_raw_mmt(a, b, element, ttl=64):
+    """Put one routed MMT DATA packet on ``a``'s wire toward ``b``."""
+    header = MmtHeader(experiment_id=EXP_ID)
+    packet = Packet(
+        headers=[
+            EthernetHeader(src=a.mac, dst=element.mac, ethertype=EtherType.IPV4),
+            Ipv4Header(src=a.ip, dst=b.ip, proto=IpProto.MMT, ttl=ttl),
+            header,
+        ],
+        payload_size=512,
+    )
+    assert next(iter(a.ports.values())).send(packet)
+    return header.encode()
+
+
+def collect_mmt(host):
+    got = []
+    host.register_l3_protocol(IpProto.MMT, got.append)
+    return got
+
+
+def test_forwarding_rewrites_l2_and_decrements_ttl(sim):
+    element = ProgrammableElement(sim, "el", mac="02:00:00:00:00:01")
+    _topo, a, b = build_chain(sim, element)
+    got = collect_mmt(b)
+    wire = send_raw_mmt(a, b, element)
+    sim.run()
+    (packet,) = got
+    eth = packet.find(EthernetHeader)
+    assert (eth.src, eth.dst) == (element.mac, b.mac)
+    assert packet.find(Ipv4Header).ttl == 63
+    assert packet.find(MmtHeader).encode() == wire  # empty pipeline: untouched
+
+
+def test_ttl_expiry_dropped_as_no_route(sim):
+    element = ProgrammableElement(sim, "el", mac="02:00:00:00:00:01")
+    _topo, a, b = build_chain(sim, element)
+    got = collect_mmt(b)
+    send_raw_mmt(a, b, element, ttl=1)
+    sim.run()
+    assert got == []
+    assert element.stats.dropped_no_route == 1
+
+
+def test_failed_element_drops_and_counts_each_packet(sim):
+    element = ProgrammableElement(sim, "el", mac="02:00:00:00:00:01")
+    _topo, a, b = build_chain(sim, element)
+    element.crash()
+    got = collect_mmt(b)
+    for _ in range(5):
+        send_raw_mmt(a, b, element)
+    sim.run()
+    assert got == []
+    assert element.stats.dropped_failed == 5
 
 
 class TestDeviceModels:

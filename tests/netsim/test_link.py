@@ -43,6 +43,17 @@ def test_back_to_back_packets_serialize_sequentially():
     times = [t for t, _ in b.received]
     gap = units.transmission_time_ns(size + WIRE_OVERHEAD_BYTES, units.gbps(1))
     assert times == [gap, 2 * gap, 3 * gap]
+    assert (pa.stats.tx_packets, pa.stats.tx_bytes) == (3, 3 * size)
+
+
+def test_serial_sends_cost_linear_events():
+    sim = Simulator()
+    _a, b, pa, _pb, _link = build_pair(sim)
+    for _ in range(8):
+        pa.send(Packet(payload_size=1000))
+    sim.run()
+    assert b.rx_packets == 8
+    assert sim.events_processed == 16  # tx-done + delivery per packet
 
 
 def test_full_duplex_no_interference():
@@ -111,6 +122,7 @@ def test_link_down_blackholes():
     pa.send(Packet(payload_size=100))
     sim.run()
     assert b.rx_packets == 0
+    assert link.stats.lost_down == 1
 
 
 def test_send_without_link_fails():
@@ -129,6 +141,17 @@ def test_queue_overflow_counted_on_port():
     sim.run()
     assert pa.stats.drops_queue > 0
     assert b.rx_packets == sent
+
+
+def test_idle_port_serializes_head_before_admitting_the_rest():
+    # The queue fits exactly 3 x 1000-byte packets; a burst of 5 on an
+    # idle port admits 4, because the head leaves the queue at once.
+    sim = Simulator()
+    _a, b, pa, _pb, _link = build_pair(sim)
+    pa.queue = DropTailQueue(3000)
+    admitted = sum(1 for _ in range(5) if pa.send(Packet(payload_size=1000)))
+    sim.run()
+    assert (admitted, b.rx_packets, pa.stats.drops_queue) == (4, 4, 1)
 
 
 def test_egress_hook_can_rewrite_or_drop():

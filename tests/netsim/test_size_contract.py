@@ -3,12 +3,12 @@ current wire size.
 
 A hop sizes a packet when the egress queue admits it and carries that
 size through release, serialization and delivery (``Packet.hop_bytes``)
-instead of re-summing the headers. These runs wrap ``Port.deliver`` /
-``Port.deliver_train`` and check each delivery's booked ``rx_bytes``
-against a fresh ``sum(h.size_bytes for h in packet.headers) +
-packet.payload_size``, in the three places where headers change size
-mid-path: INT postcards growing in place, TCP SACK blocks appearing,
-and MMT feature words rewritten by on-path mode transitions.
+instead of re-summing the headers. These runs wrap ``Port.deliver``
+and check each delivery's booked ``rx_bytes`` against a fresh
+``sum(h.size_bytes for h in packet.headers) + packet.payload_size``,
+in the three places where headers change size mid-path: INT
+postcards growing in place, TCP SACK blocks appearing, and MMT feature
+words rewritten by on-path mode transitions.
 """
 
 from collections import Counter
@@ -60,7 +60,6 @@ class SizeAudit:
 def audit(monkeypatch) -> SizeAudit:
     audit = SizeAudit()
     deliver = Port.deliver
-    deliver_train = Port.deliver_train
 
     def checked_deliver(port, packet):
         expected = audit.observe(packet)
@@ -68,14 +67,7 @@ def audit(monkeypatch) -> SizeAudit:
         deliver(port, packet)
         audit.booked(port, packet, expected, port.stats.rx_bytes - before)
 
-    def checked_deliver_train(port, packets):
-        expected = [audit.observe(packet) for packet in packets]
-        before = port.stats.rx_bytes
-        deliver_train(port, packets)
-        audit.booked(port, packets, sum(expected), port.stats.rx_bytes - before)
-
     monkeypatch.setattr(Port, "deliver", checked_deliver)
-    monkeypatch.setattr(Port, "deliver_train", checked_deliver_train)
     return audit
 
 

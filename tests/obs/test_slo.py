@@ -55,6 +55,10 @@ def test_aggregates():
     assert rule("mean").aggregate(values) == 3.0
     assert rule("p50").aggregate(values) == 3.0
     assert rule("p99").aggregate(values) == 5.0
+    # Even length: nearest rank picks a sample, never the midpoint 2.5.
+    even = [4, 1, 3, 2]
+    assert rule("p50").aggregate(even) == 2.0
+    assert rule("p99").aggregate(even) == 4.0
 
 
 def test_operators():
