@@ -111,15 +111,14 @@ class AgeOfInformation:
         return self._weighted_area / self._span_ns
 
 
-def jains_fairness(rates: list[float]) -> float:
-    """Jain's fairness index over per-flow rates (1.0 = perfectly fair)."""
-    if not rates:
-        raise ValueError("need at least one rate")
-    total = sum(rates)
-    squares = sum(r * r for r in rates)
-    if squares == 0:
+def jains_fairness(values: list[float]) -> float:
+    """Jain's fairness index ``(Σx)² / (n·Σx²)`` — 1.0 is perfectly
+    fair, 1/n is one flow taking everything. Empty/all-zero input is
+    degenerate (nobody was served *unequally*): returns 1.0."""
+    xs = [float(v) for v in values]
+    if not xs or all(x == 0.0 for x in xs):
         return 1.0
-    return (total * total) / (len(rates) * squares)
+    return (sum(xs) ** 2) / (len(xs) * sum(x * x for x in xs))
 
 
 def completion_fraction(delivered: int, sent: int) -> float:

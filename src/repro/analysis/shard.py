@@ -343,15 +343,9 @@ def run_traced_pilot_case(case: TracedPilotCase) -> tuple[str, dict]:
         **dict(case.extra),
     )
     pilot = PilotTestbed(sim=Simulator(seed=case.seed), config=config)
-    base, extra = divmod(case.messages, case.flows)
-    for fid in range(case.flows):
-        count = base + (1 if fid < extra else 0)
-        pilot.send_stream(
-            count,
-            payload_size=case.payload_size,
-            interval_ns=case.interval_ns,
-            flow=fid,
-        )
+    pilot.send_streams(
+        case.messages, payload_size=case.payload_size, interval_ns=case.interval_ns
+    )
     report = pilot.run()
     label = f"seed{case.seed:06d}_msgs{case.messages}_flows{case.flows}"
     metrics = {
@@ -390,15 +384,9 @@ def sampled_pilot_series_shard(case: TracedPilotCase) -> tuple[str, list[dict]]:
         **dict(case.extra),
     )
     pilot = PilotTestbed(sim=Simulator(seed=case.seed), config=config)
-    base, extra = divmod(case.messages, case.flows)
-    for fid in range(case.flows):
-        count = base + (1 if fid < extra else 0)
-        pilot.send_stream(
-            count,
-            payload_size=case.payload_size,
-            interval_ns=case.interval_ns,
-            flow=fid,
-        )
+    pilot.send_streams(
+        case.messages, payload_size=case.payload_size, interval_ns=case.interval_ns
+    )
     pilot.run()
     label = f"seed{case.seed:06d}_msgs{case.messages}_flows{case.flows}"
     return label, series_records(pilot.sampler)

@@ -30,11 +30,17 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import ResultTable, format_duration, format_rate, percentile
+from .analysis import (
+    ResultTable,
+    format_duration,
+    format_rate,
+    jains_fairness,
+    percentile,
+)
 from .core import MmtHeader, TransitionContext, extended_registry, transition
 from .daq import catalog
 from .dataplane import PilotConfig, PilotTestbed
-from .integration import SupernovaConfig, compare as supernova_compare, jain_fairness
+from .integration import SupernovaConfig, compare as supernova_compare
 from .netsim import Simulator
 from .netsim.units import MILLISECOND
 from .telemetry import (
@@ -134,44 +140,114 @@ def _finish_obs(
     return health.ok
 
 
+def _write_run_files(
+    testbed,
+    telemetry: str | None = None,
+    telemetry_meta: dict | None = None,
+    trace: str | None = None,
+    trace_meta: dict | None = None,
+    blank_line: bool = True,
+) -> int:
+    """Write a run's ``--telemetry`` snapshot and ``--trace`` file.
+
+    ``telemetry_meta`` gains the run's ``sim_now_ns``; ``blank_line``
+    separates the telemetry line from the tables above it. Returns 0,
+    or 1 once a file cannot be written (the error goes to stderr).
+    """
+    if telemetry is not None:
+        registry = testbed.collect_telemetry()
+        try:
+            written = write_snapshot(
+                registry,
+                telemetry,
+                meta={**(telemetry_meta or {}), "sim_now_ns": testbed.sim.now},
+            )
+        except OSError as exc:
+            print(f"error: cannot write snapshot: {exc}", file=sys.stderr)
+            return 1
+        gap = "\n" if blank_line else ""
+        print(f"{gap}telemetry: {written - 1} metrics -> {telemetry}")
+    if trace is not None:
+        from .trace import write_trace
+
+        try:
+            records = write_trace(testbed.tracer, trace, meta=trace_meta)
+        except OSError as exc:
+            print(f"error: cannot write trace: {exc}", file=sys.stderr)
+            return 1
+        print(f"trace: {records - 1} events -> {trace}")
+    return 0
+
+
 def _cmd_pilot(args: argparse.Namespace) -> int:
+    """``repro pilot``: the Fig. 4 pilot, or with ``--receivers N > 1``
+    the same ingest pipe terminating at an N-node receiver farm behind
+    the EJ-FAT-style balancer instead of DTN 2."""
     try:
         sample_every_ns = _pilot_sample_every_ns(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.receivers > 1:
-        return _pilot_farm(args)
-    config = PilotConfig(
+    common = dict(
         wan_delay_ns=round(args.wan_ms * MILLISECOND),
         wan_loss_rate=args.loss,
         age_budget_ns=round(args.age_budget_ms * MILLISECOND),
-        deadline_offset_ns=round(args.deadline_ms * MILLISECOND),
         telemetry=args.telemetry is not None,
         flows=args.flows,
         # --chrome merges spans with counter tracks, so it needs spans.
         trace=args.trace is not None or args.chrome is not None,
         sample_every_ns=sample_every_ns,
     )
-    pilot = PilotTestbed(sim=Simulator(seed=args.seed), config=config)
+    farm = args.receivers > 1
+    if farm:
+        from .fleet import FarmConfig, ReceiverFarm
+
+        testbed = ReceiverFarm(
+            sim=Simulator(seed=args.seed),
+            config=FarmConfig(nodes=args.receivers, **common),
+        )
+        scenario, show = "pilot-farm", _show_farm
+        telemetry_meta = trace_meta = {"receivers": args.receivers}
+    else:
+        testbed = PilotTestbed(
+            sim=Simulator(seed=args.seed),
+            config=PilotConfig(
+                deadline_offset_ns=round(args.deadline_ms * MILLISECOND), **common
+            ),
+        )
+        scenario, show = "pilot", _show_pilot
+        telemetry_meta = {"wan_ms": args.wan_ms, "loss": args.loss}
+        trace_meta = {"flows": args.flows}
     try:
-        watchdog = _build_watchdog(args, pilot.sampler, pilot.tracer)
+        watchdog = _build_watchdog(args, testbed.sampler, testbed.tracer)
     except ValueError as exc:
         print(f"error: bad --slo rule: {exc}", file=sys.stderr)
         return 2
-    interval_ns = round(args.interval_us * 1000)
-    if args.flows > 1:
-        # Split the message budget across the concurrent flows so total
-        # offered load matches the single-flow invocation.
-        base, extra = divmod(args.messages, args.flows)
-        for fid in range(args.flows):
-            count = base + (1 if fid < extra else 0)
-            pilot.send_stream(
-                count, payload_size=args.size, interval_ns=interval_ns, flow=fid
-            )
-    else:
-        pilot.send_stream(args.messages, payload_size=args.size, interval_ns=interval_ns)
-    report = pilot.run()
+    # With several flows the budget is split so the total offered load
+    # matches the single-flow invocation.
+    testbed.send_streams(
+        args.messages, payload_size=args.size, interval_ns=round(args.interval_us * 1000)
+    )
+    report = testbed.run()
+    show(args, report)
+    status = _write_run_files(
+        testbed,
+        telemetry=args.telemetry,
+        telemetry_meta={
+            "scenario": scenario, "seed": args.seed, "messages": args.messages,
+            **telemetry_meta,
+        },
+        trace=args.trace,
+        trace_meta={"scenario": scenario, "seed": args.seed, **trace_meta},
+        blank_line=not farm,
+    )
+    if status:
+        return status
+    healthy = _finish_obs(args, testbed.sampler, testbed.tracer, watchdog, scenario)
+    return 0 if report.complete and healthy else 1
+
+
+def _show_pilot(args: argparse.Namespace, report) -> None:
     table = ResultTable(
         "Pilot study (Fig. 4)",
         ["Metric", "Value"],
@@ -212,76 +288,10 @@ def _cmd_pilot(args: argparse.Namespace) -> int:
             row["delivered"] / row["sent"] if row["sent"] else 0.0
             for row in report.per_flow.values()
         ]
-        print(f"\nJain fairness index: {jain_fairness(normalized):.4f}")
-    if args.telemetry is not None:
-        registry = pilot.collect_telemetry()
-        try:
-            written = write_snapshot(
-                registry,
-                args.telemetry,
-                meta={
-                    "scenario": "pilot",
-                    "seed": args.seed,
-                    "sim_now_ns": pilot.sim.now,
-                    "messages": args.messages,
-                    "wan_ms": args.wan_ms,
-                    "loss": args.loss,
-                },
-            )
-        except OSError as exc:
-            print(f"error: cannot write snapshot: {exc}", file=sys.stderr)
-            return 1
-        print(f"\ntelemetry: {written - 1} metrics -> {args.telemetry}")
-    if args.trace is not None:
-        from .trace import write_trace
-
-        try:
-            records = write_trace(
-                pilot.tracer,
-                args.trace,
-                meta={"scenario": "pilot", "seed": args.seed, "flows": args.flows},
-            )
-        except OSError as exc:
-            print(f"error: cannot write trace: {exc}", file=sys.stderr)
-            return 1
-        print(f"trace: {records - 1} events -> {args.trace}")
-    healthy = _finish_obs(args, pilot.sampler, pilot.tracer, watchdog, "pilot")
-    return 0 if report.complete and healthy else 1
+        print(f"\nJain fairness index: {jains_fairness(normalized):.4f}")
 
 
-def _pilot_farm(args: argparse.Namespace) -> int:
-    """``repro pilot --receivers N``: same stream, farm termination.
-
-    With ``--receivers 1`` (the default) this function is never reached
-    and the pilot path is bit-for-bit the historical single-DTN build;
-    N > 1 swaps DTN 2 for an N-node receiver farm behind the balancer.
-    """
-    from .fleet import FarmConfig, ReceiverFarm
-
-    config = FarmConfig(
-        nodes=args.receivers,
-        flows=args.flows,
-        wan_delay_ns=round(args.wan_ms * MILLISECOND),
-        wan_loss_rate=args.loss,
-        age_budget_ns=round(args.age_budget_ms * MILLISECOND),
-        telemetry=args.telemetry is not None,
-        trace=args.trace is not None or args.chrome is not None,
-        sample_every_ns=(
-            round(args.sample_every * 1000) if args.sample_every else None
-        ),
-    )
-    farm = ReceiverFarm(sim=Simulator(seed=args.seed), config=config)
-    try:
-        watchdog = _build_watchdog(args, farm.sampler, farm.tracer)
-    except ValueError as exc:
-        print(f"error: bad --slo rule: {exc}", file=sys.stderr)
-        return 2
-    interval_ns = round(args.interval_us * 1000)
-    base, extra = divmod(args.messages, args.flows)
-    for fid in range(args.flows):
-        count = base + (1 if fid < extra else 0)
-        farm.send_stream(count, payload_size=args.size, interval_ns=interval_ns, flow=fid)
-    report = farm.run()
+def _show_farm(args: argparse.Namespace, report) -> None:
     table = ResultTable(
         f"Pilot study, receiver farm (N={args.receivers})",
         ["Metric", "Value"],
@@ -311,41 +321,7 @@ def _pilot_farm(args: argparse.Namespace) -> int:
         )
     node_table.show()
     shares = [row["bytes_delivered"] for row in report.per_node.values()]
-    print(f"\nnode-level Jain fairness: {jain_fairness(shares):.4f}")
-    if args.telemetry is not None:
-        registry = farm.collect_telemetry()
-        try:
-            written = write_snapshot(
-                registry,
-                args.telemetry,
-                meta={
-                    "scenario": "pilot-farm",
-                    "seed": args.seed,
-                    "sim_now_ns": farm.sim.now,
-                    "receivers": args.receivers,
-                    "messages": args.messages,
-                },
-            )
-        except OSError as exc:
-            print(f"error: cannot write snapshot: {exc}", file=sys.stderr)
-            return 1
-        print(f"telemetry: {written - 1} metrics -> {args.telemetry}")
-    if args.trace is not None:
-        from .trace import write_trace
-
-        try:
-            records = write_trace(
-                farm.tracer,
-                args.trace,
-                meta={"scenario": "pilot-farm", "seed": args.seed,
-                      "receivers": args.receivers},
-            )
-        except OSError as exc:
-            print(f"error: cannot write trace: {exc}", file=sys.stderr)
-            return 1
-        print(f"trace: {records - 1} events -> {args.trace}")
-    healthy = _finish_obs(args, farm.sampler, farm.tracer, watchdog, "pilot-farm")
-    return 0 if report.complete and healthy else 1
+    print(f"\nnode-level Jain fairness: {jains_fairness(shares):.4f}")
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
@@ -361,7 +337,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         wan_delay_ns=round(args.wan_ms * MILLISECOND),
         wan_loss_rate=args.loss,
         window=args.window,
-        retx_policy=args.retx_policy,
         telemetry=args.telemetry is not None,
     )
     config = FleetConfig(
@@ -412,24 +387,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             "yes" if row["alive"] else "no",
         )
     node_table.show()
-    if args.telemetry is not None:
-        registry = orchestrator.farm.collect_telemetry()
-        try:
-            written = write_snapshot(
-                registry,
-                args.telemetry,
-                meta={
-                    "scenario": "fleet",
-                    "seed": args.seed,
-                    "sim_now_ns": orchestrator.sim.now,
-                    "nodes": args.nodes,
-                    "flows": args.flows,
-                },
-            )
-        except OSError as exc:
-            print(f"error: cannot write snapshot: {exc}", file=sys.stderr)
-            return 1
-        print(f"\ntelemetry: {written - 1} metrics -> {args.telemetry}")
+    status = _write_run_files(
+        orchestrator.farm,
+        telemetry=args.telemetry,
+        telemetry_meta={
+            "scenario": "fleet", "seed": args.seed,
+            "nodes": args.nodes, "flows": args.flows,
+        },
+    )
+    if status:
+        return status
     return 0 if report.complete else 1
 
 
@@ -827,7 +794,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         trace_digest,
         verify_int_consistency,
         write_chrome_trace,
-        write_trace,
     )
 
     sink = None
@@ -857,12 +823,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         pilot = PilotTestbed(sim=Simulator(seed=args.seed), config=config)
         if args.verify_int:
             sink = attach_recording_sink(pilot)
-        interval_ns = round(args.interval_us * 1000)
-        base, extra = divmod(args.messages, args.flows)
-        for fid in range(args.flows):
-            count = base + (1 if fid < extra else 0)
-            pilot.send_stream(count, payload_size=args.size,
-                              interval_ns=interval_ns, flow=fid)
+        pilot.send_streams(
+            args.messages, payload_size=args.size,
+            interval_ns=round(args.interval_us * 1000),
+        )
         report = pilot.run()
         tracer = pilot.tracer
         events = tracer.events()
@@ -872,16 +836,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             f"{tracer.events_retained} retained "
             f"({tracer.events_pinned} pinned, {tracer.events_evicted} evicted)"
         )
-        if args.out is not None:
-            try:
-                records = write_trace(
-                    tracer, args.out,
-                    meta={"scenario": "pilot", "seed": args.seed, "flows": args.flows},
-                )
-            except OSError as exc:
-                print(f"error: cannot write trace: {exc}", file=sys.stderr)
-                return 1
-            print(f"trace: {records - 1} events -> {args.out}")
+        status = _write_run_files(
+            pilot,
+            trace=args.out,
+            trace_meta={"scenario": "pilot", "seed": args.seed, "flows": args.flows},
+        )
+        if status:
+            return status
         origin = "embedded pilot run"
 
     if args.flow is not None:
@@ -1155,10 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="random loss on the balancer -> node legs")
     fleet.add_argument("--window", type=int, default=16,
                        help="event-window size (seqs per sticky tick)")
-    fleet.add_argument("--retx-policy", choices=("rebind", "follow"),
-                       default="rebind",
-                       help="what retransmissions do when their window's "
-                       "node died between sync ticks")
     fleet.add_argument("--crash-node", type=int, default=None,
                        help="crash this node index mid-run")
     fleet.add_argument("--crash-at-ms", type=float, default=1.05,

@@ -23,12 +23,10 @@ Liveness is a separate axis from draining, mirroring
 declares a backend crashed — its bound windows are remapped to live
 backends on the spot (redirect-on-crash) and it receives nothing until
 :meth:`mark_up`. When a packet arrives for a window whose backend died
-*between* control-loop updates, first-transmission DATA always rebinds
-(the work is new; nothing was delivered yet), while retransmitted DATA
-follows the ``retx_policy``: ``"rebind"`` (default) moves the window so
-repair lands where the rest of the event will, ``"follow"`` preserves
-the historical behaviour of steering into the dead backend — kept only
-to make the failure mode testable and explicit.
+*between* control-loop updates, the packet rebinds the window to a live
+backend: first-transmission DATA because the work is new (nothing was
+delivered yet), retransmitted DATA so the repair lands where the rest
+of the event will.
 
 Header-only on the wire: steering is an ``ip.dst`` rewrite keyed on
 the MMT seq field, well inside the P4 envelope.
@@ -43,10 +41,6 @@ from ..core.seqspace import unwrap
 from .element import ProgrammableElement
 from .pipeline import Action, Metadata, PacketView, Table
 from .programs import Program
-
-#: Valid values of ``LoadBalancerProgram(retx_policy=...)``.
-RETX_POLICIES = ("rebind", "follow")
-
 
 class LoadBalancerError(RuntimeError):
     """Raised for balancer misconfiguration."""
@@ -72,7 +66,7 @@ class SteeringRecord:
     """One steering decision, as recorded when ``record_log`` is on."""
 
     epoch: int
-    kind: str  # bind | steer | redirect | retx-rebind | follow-dead
+    kind: str  # bind | steer | redirect | retx-rebind
     flow_id: int
     tick: int
     backend: str
@@ -87,21 +81,15 @@ class LoadBalancerProgram(Program):
         backends: list[str],
         window: int = 64,
         calendar_horizon: int = 4096,
-        retx_policy: str = "rebind",
         record_log: bool = False,
     ) -> None:
         if not backends:
             raise LoadBalancerError("need at least one backend")
         if window <= 0:
             raise LoadBalancerError("window must be positive")
-        if retx_policy not in RETX_POLICIES:
-            raise LoadBalancerError(
-                f"retx_policy must be one of {RETX_POLICIES}, got {retx_policy!r}"
-            )
         self.experiment_id = experiment_id
         self.window = window
         self.calendar_horizon = calendar_horizon
-        self.retx_policy = retx_policy
         self.backends: dict[str, BackendState] = {
             address: BackendState(address=address) for address in backends
         }
@@ -117,10 +105,8 @@ class LoadBalancerProgram(Program):
         self.table_updates = 0
         #: Windows remapped because their backend was marked down.
         self.redirects = 0
-        #: Retransmissions that triggered a rebind (policy "rebind").
+        #: Retransmissions that triggered a rebind.
         self.retx_rebinds = 0
-        #: Retransmissions steered into a dead backend (policy "follow").
-        self.follows_dead = 0
         #: Chronological :class:`SteeringRecord` list, or None when off.
         self.steering_log: list[SteeringRecord] | None = [] if record_log else None
         #: Causal tracer (repro.trace.Tracer) or None.
@@ -249,12 +235,8 @@ class LoadBalancerProgram(Program):
         if backend is None:
             return self._assign(tick, flow_id)
         if self.backends[backend].dead:
-            # The bound backend died between control-loop updates. New
-            # work always rebinds; repair traffic obeys the policy.
-            if is_retx and self.retx_policy == "follow":
-                self.follows_dead += 1
-                self._log("follow-dead", flow_id, tick, backend)
-                return backend
+            # The bound backend died between control-loop updates: new
+            # work and repairs alike rebind to a live backend.
             return self._rebind(key, kind="retx-rebind" if is_retx else "redirect")
         self._log("steer", flow_id, tick, backend)
         return backend

@@ -17,6 +17,11 @@ Topology (100 GbE throughout, per the paper)::
   added; DTN 2 checks timeliness on arrival and NAKs any gaps straight
   to the U280 (never to the sensor).
 
+Everything up to the Tofino2 is the ingest pipe :class:`IngestTestbed`
+builds; :class:`PilotTestbed` adds the U55C → DTN 2 tail, and the
+receiver farm (:mod:`repro.fleet.farm`) adds its N-node tail to the
+same pipe.
+
 The WAN leg (Tofino2 ↔ U55C) takes configurable delay and loss so the
 same build serves both the physical-testbed shape (local, lossless)
 and design exploration (long RTT, corruption loss), mirroring how the
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis.shard import split_evenly
 from ..core.endpoint import MmtReceiver, MmtSender, MmtStack, ReceiverConfig
 from ..core.header import make_experiment_id
 from ..core.modes import ModeRegistry, pilot_registry
@@ -68,6 +74,9 @@ U280_POSITION = 3
 TOFINO_POSITION = 4
 U55C_POSITION = 5
 DTN2_POSITION = 6
+
+#: One-way delay of the short hops (DTN ↔ smartNIC ↔ switch).
+SHORT_DELAY_NS = 1 * MICROSECOND
 
 
 @dataclass
@@ -167,19 +176,30 @@ class PilotReport:
         return self.delivered >= self.messages_sent and self.unrecovered == 0
 
 
-class PilotTestbed:
-    """A ready-to-run build of the Fig. 4 pilot."""
+class IngestTestbed:
+    """The ingest pipe every testbed shares, plus a delivery tail.
 
-    def __init__(
-        self,
-        sim: Simulator | None = None,
-        config: PilotConfig | None = None,
-        registry: ModeRegistry | None = None,
-    ) -> None:
-        self.sim = sim or Simulator(seed=42)
-        self.config = config or PilotConfig()
+    Builds sensor → DAQ switch → DTN 1 → U280 → Tofino2: the U280
+    upgrades ``identify`` to ``age-recover`` and taps its HBM buffer,
+    the Tofino2 ages packets and stamps the nearest buffer, and DTN 1
+    relays every message it receives (deficit round robin when several
+    flows share its uplink). A subclass adds only its delivery tail
+    through the ``_add_tail``/``_program_tail``/``_attach_tail`` hooks:
+    the pilot adds U55C → DTN 2, the receiver farm adds N nodes behind a
+    balancer. The shared build reads only config fields both
+    ``PilotConfig`` and ``FarmConfig`` declare.
+    """
+
+    #: Flow label of every sender (``<label>-f<id>`` when tagged).
+    flow_label = "pilot"
+
+    def __init__(self, sim: Simulator, config, registry: ModeRegistry | None) -> None:
+        if config.flows < 1:
+            raise ValueError(f"flows must be >= 1, got {config.flows}")
+        self.sim = sim
+        self.config = config
         self.registry = registry or pilot_registry()
-        self.experiment_id = make_experiment_id(PILOT_EXPERIMENT, self.config.slice_id)
+        self.experiment_id = make_experiment_id(PILOT_EXPERIMENT, config.slice_id)
         self._build()
 
     # -- construction ----------------------------------------------------------
@@ -198,36 +218,17 @@ class PilotTestbed:
         self.tofino = topo.add(
             TofinoSwitch(self.sim, "tofino2", mac=topo.allocate_mac(), ip="10.20.0.1")
         )
-        self.u55c = topo.add(
-            AlveoNic.u55c(self.sim, "alveo-u55c", mac=topo.allocate_mac(), ip="10.30.0.2")
-        )
-        self.dtn2 = topo.add_host("dtn2", ip="10.30.0.10")
-
         rate = cfg.link_rate_bps
-        short = 1 * MICROSECOND
         topo.connect(self.sensor, self.daq_switch, rate, cfg.daq_delay_ns, cfg.mtu_bytes)
         topo.connect(self.daq_switch, self.dtn1, rate, cfg.daq_delay_ns, cfg.mtu_bytes)
-        topo.connect(self.dtn1, self.u280, rate, short, cfg.mtu_bytes)
-        topo.connect(self.u280, self.tofino, rate, short, cfg.mtu_bytes)
-        self.wan_link = topo.connect(
-            self.tofino,
-            self.u55c,
-            rate,
-            cfg.wan_delay_ns,
-            cfg.mtu_bytes,
-            loss_rate=cfg.wan_loss_rate,
-        )
-        topo.connect(self.u55c, self.dtn2, rate, short, cfg.mtu_bytes)
+        topo.connect(self.dtn1, self.u280, rate, SHORT_DELAY_NS, cfg.mtu_bytes)
+        topo.connect(self.u280, self.tofino, rate, SHORT_DELAY_NS, cfg.mtu_bytes)
+        self._add_tail(topo)
         topo.install_routes()
 
         # --- programmable elements -----------------------------------------
-        self.buffer = self.u280.attach_buffer(cfg.buffer_bytes)
-        self.directory: BufferDirectory | None = None
-        if cfg.use_directory:
-            self.directory = BufferDirectory()
-            self.directory.register(
-                self.u280.ip, U280_POSITION, experiments={self.experiment_id}
-            )
+        self.buffer: RetransmitBuffer = self.u280.attach_buffer(cfg.buffer_bytes)
+        self.directory: BufferDirectory | None = self._buffer_directory()
         self.u280_transition = ModeTransitionProgram(
             self.registry,
             [
@@ -257,49 +258,20 @@ class PilotTestbed:
         else:
             self.tofino_nearest = NearestBufferProgram(buffer_addr=self.u280.ip)
         self.tofino_nearest.install(self.tofino)
-
-        self.u55c_transition = ModeTransitionProgram(
-            self.registry,
-            [
-                TransitionRule(
-                    from_config_id=self.registry.by_name("age-recover").config_id,
-                    to_mode="deliver-check",
-                    deadline_offset_ns=cfg.deadline_offset_ns,
-                    notify_addr=self.dtn1.ip,
-                )
-            ],
-        )
-        self.u55c_transition.install(self.u55c)
-        self.u55c_age = AgeUpdateProgram()
-        self.u55c_age.install(self.u55c)
+        self._program_tail()
 
         # --- endpoints --------------------------------------------------------
         self.sensor_stack = MmtStack(self.sensor, self.registry)
         self.dtn1_stack = MmtStack(self.dtn1, self.registry)
-        self.dtn2_stack = MmtStack(self.dtn2, self.registry)
 
-        if cfg.flows < 1:
-            raise ValueError(f"flows must be >= 1, got {cfg.flows}")
         self.messages_sent = 0
         self.dtn1_relayed = 0
-        self.delivered_messages: list[tuple[int, int]] = []  # (time, payload size)
         self.messages_sent_by_flow: dict[int, int] = {f: 0 for f in range(cfg.flows)}
         self.dtn1_relayed_by_flow: dict[int, int] = {f: 0 for f in range(cfg.flows)}
-        #: flow_id → [(delivery time, payload size)] at DTN 2.
+        #: flow_id → [(delivery time, payload size)] at the tail.
         self.delivered_by_flow: dict[int, list[tuple[int, int]]] = {
             f: [] for f in range(cfg.flows)
         }
-
-        # Single-flow builds stay untagged (no FLOW_ID extension, wire
-        # bytes identical to every earlier pilot); multi-flow builds tag
-        # every sender, flow 0 included, so in-path flow counters and
-        # per-flow recovery state see all of them.
-        tagged = cfg.flows > 1
-
-        def flow_kwargs(fid: int) -> dict:
-            if not tagged:
-                return {"flow": "pilot"}
-            return {"flow": f"pilot-f{fid}", "flow_id": fid}
 
         self.sensor_senders: list[MmtSender] = [
             self.sensor_stack.create_sender(
@@ -307,87 +279,96 @@ class PilotTestbed:
                 mode="identify",
                 dst_mac=self.dtn1.mac,
                 l2_port=next(iter(self.sensor.ports)),
-                **flow_kwargs(fid),
+                **self._flow_kwargs(fid),
             )
             for fid in range(cfg.flows)
         ]
         self.sensor_sender: MmtSender = self.sensor_senders[0]
-        self.dtn1_buffer: RetransmitBuffer | None = None
-        if cfg.reliable_from_dtn1 and cfg.failover_buffer:
-            self.dtn1_buffer = self.dtn1_stack.attach_buffer(cfg.dtn1_buffer_bytes)
-            if self.directory is not None:
-                self.directory.register(
-                    self.dtn1.ip, DTN1_POSITION, experiments={self.experiment_id}
-                )
-        if cfg.reliable_from_dtn1:
-            self.dtn1_senders: list[MmtSender] = [
-                self.dtn1_stack.create_sender(
-                    experiment_id=self.experiment_id,
-                    mode="age-recover",
-                    dst_ip=self.dtn2.ip,
-                    age_budget_ns=cfg.age_budget_ns,
-                    buffer_local=self.dtn1_buffer is not None,
-                    directory=self.directory,
-                    path_position=DTN1_POSITION,
-                    degraded_mode="identify",
-                    **flow_kwargs(fid),
-                )
-                for fid in range(cfg.flows)
-            ]
-        else:
-            self.dtn1_senders = [
-                self.dtn1_stack.create_sender(
-                    experiment_id=self.experiment_id,
-                    mode="identify",
-                    dst_ip=self.dtn2.ip,
-                    **flow_kwargs(fid),
-                )
-                for fid in range(cfg.flows)
-            ]
+        self.dtn1_senders: list[MmtSender] = self._make_dtn1_senders()
         self.dtn1_sender: MmtSender = self.dtn1_senders[0]
 
         # Multi-flow relay fairness: DTN 1's uplink (and the U280 buffer
         # behind it) is the shared resource; a DRR scheduler decides the
         # re-origination order so one hot flow cannot monopolize it.
         self.relay_drr: DrrScheduler | None = (
-            DrrScheduler(quantum_bytes=cfg.mtu_bytes) if tagged else None
+            DrrScheduler(quantum_bytes=cfg.mtu_bytes) if cfg.flows > 1 else None
         )
         self._relay_drain_pending = False
         self.dtn1_receiver: MmtReceiver = self.dtn1_stack.bind_receiver(
             PILOT_EXPERIMENT, on_message=self._relay_at_dtn1
         )
-        self.dtn2_receiver: MmtReceiver = self.dtn2_stack.bind_receiver(
-            PILOT_EXPERIMENT, on_message=self._deliver_at_dtn2, config=cfg.receiver
+        self.metrics: MetricsRegistry | None = (
+            MetricsRegistry() if cfg.telemetry else None
         )
+        self._attach_tail()
 
-        # --- telemetry ------------------------------------------------------
-        self.metrics: MetricsRegistry | None = None
-        self.int_domain: IntDomain | None = None
-        if cfg.telemetry:
-            self.metrics = MetricsRegistry()
-            self.int_domain = IntDomain()
-            self.int_domain.enroll(
-                self.u280, source=True, sample_every=cfg.int_sample_every
-            )
-            self.int_domain.enroll(self.tofino)
-            self.int_domain.enroll(self.u55c)
-            self.dtn2_stack.int_sink = self.int_domain.make_sink(self.metrics)
-
-        # --- tracing --------------------------------------------------------
+        # --- tracing and sampling ---------------------------------------------
         self.tracer = None
         if cfg.trace:
             from ..trace import Tracer
 
             self.attach_tracer(Tracer(self.sim, capacity=cfg.trace_capacity))
-
-        # --- sampling -------------------------------------------------------
         self.sampler = None
         if cfg.sample_every_ns:
-            from ..obs import Sampler, watch_pilot
+            from ..obs import Sampler
 
             self.sampler = Sampler(self.sim, every_ns=cfg.sample_every_ns)
-            watch_pilot(self.sampler, self)
+            self._watch(self.sampler)
             self.sampler.arm()
+
+    def _flow_kwargs(self, fid: int) -> dict:
+        # Single-flow builds stay untagged (no FLOW_ID extension, wire
+        # bytes identical to every earlier pilot); multi-flow builds tag
+        # every sender, flow 0 included, so in-path flow counters and
+        # per-flow recovery state see all of them.
+        if self.config.flows == 1:
+            return {"flow": self.flow_label}
+        return {"flow": f"{self.flow_label}-f{fid}", "flow_id": fid}
+
+    def _dtn1_senders(self, dst_ip: str, mode: str, **kwargs) -> list[MmtSender]:
+        """One DTN 1 → ``dst_ip`` sender per flow."""
+        return [
+            self.dtn1_stack.create_sender(
+                experiment_id=self.experiment_id,
+                mode=mode,
+                dst_ip=dst_ip,
+                **kwargs,
+                **self._flow_kwargs(fid),
+            )
+            for fid in range(self.config.flows)
+        ]
+
+    def _add_tail(self, topo: Topology) -> None:
+        """Add the delivery side's nodes and links to ``topo``."""
+        raise NotImplementedError
+
+    def _buffer_directory(self) -> BufferDirectory | None:
+        """The live buffer directory, or None for static buffer wiring."""
+        return None
+
+    def _program_tail(self) -> None:
+        """Install the delivery side's in-network programs."""
+        raise NotImplementedError
+
+    def _make_dtn1_senders(self) -> list[MmtSender]:
+        """DTN 1's per-flow senders toward the delivery side."""
+        raise NotImplementedError
+
+    def _attach_tail(self) -> None:
+        """Build the delivery side's endpoints and bookkeeping."""
+        raise NotImplementedError
+
+    def _watch(self, sampler) -> None:
+        """Register the testbed's probes with an on-clock sampler."""
+        raise NotImplementedError
+
+    def _elements(self) -> list:
+        """Every programmable element, along the path."""
+        return [self.u280, self.tofino]
+
+    def _stacks(self) -> list[MmtStack]:
+        """Every endpoint stack, along the path."""
+        return [self.sensor_stack, self.dtn1_stack]
 
     def attach_tracer(self, tracer) -> None:
         """Install a :class:`~repro.trace.Tracer` on every hook point.
@@ -402,21 +383,19 @@ class PilotTestbed:
                 port.tracer = tracer
         for link in self.topology.links:
             link.tracer = tracer
-        for element in (self.u280, self.tofino, self.u55c):
+        for element in self._elements():
             element.tracer = tracer
-        for stack in (self.sensor_stack, self.dtn1_stack, self.dtn2_stack):
+        for stack in self._stacks():
             stack.tracer = tracer
         self.buffer.tracer = tracer
-        if self.dtn1_buffer is not None:
-            self.dtn1_buffer.tracer = tracer
 
     # -- dataflow callbacks ------------------------------------------------------
 
     def _relay_at_dtn1(self, packet: Packet, header) -> None:
-        """DTN 1's store-and-forward: re-originate toward DTN 2.
+        """DTN 1's store-and-forward: re-originate toward the tail.
 
         The original send timestamp rides along so delivery latency is
-        measured sensor → DTN 2 end-to-end. Multi-flow builds queue the
+        measured sensor → tail end-to-end. Multi-flow builds queue the
         relay through a DRR scheduler instead of forwarding inline, so
         bursts arriving back-to-back from one flow cannot starve the
         shared uplink.
@@ -446,13 +425,6 @@ class PilotTestbed:
             fid, (payload_size, payload, meta) = served
             self.dtn1_senders[fid].send(payload_size, payload=payload, meta=meta)
 
-    def _deliver_at_dtn2(self, packet: Packet, header) -> None:
-        self.delivered_messages.append((self.sim.now, packet.payload_size))
-        fid = header.flow_id or 0
-        self.delivered_by_flow.setdefault(fid, []).append(
-            (self.sim.now, packet.payload_size)
-        )
-
     # -- driving ---------------------------------------------------------------------
 
     def send_message(
@@ -473,6 +445,159 @@ class PilotTestbed:
         """Schedule a steady stream of ``count`` messages from the sensor."""
         for i in range(count):
             self.sim.schedule(i * interval_ns, self.send_message, payload_size, flow)
+
+    def send_streams(
+        self, total: int, payload_size: int = 8000, interval_ns: int = 1_000
+    ) -> None:
+        """Split ``total`` messages over the flows (the remainder goes to
+        the lowest flow ids) and schedule one concurrent stream each."""
+        for fid, count in enumerate(split_evenly(total, self.config.flows)):
+            self.send_stream(
+                count, payload_size=payload_size, interval_ns=interval_ns, flow=fid
+            )
+
+    # -- reporting -------------------------------------------------------------
+
+    def collect_telemetry(self) -> MetricsRegistry:
+        """Scrape the whole testbed into the registry (end of run).
+
+        Any live feed (the pilot's INT sink) has been filling the
+        registry during the run; this adds the pull side — engine,
+        topology, elements, and endpoint stacks — and returns the
+        registry ready for export.
+        """
+        if self.metrics is None:
+            raise RuntimeError(
+                f"telemetry disabled; build with {type(self.config).__name__}"
+                "(telemetry=True)"
+            )
+        scrape_simulator(self.sim, self.metrics)
+        scrape_topology(self.topology, self.metrics, now_ns=self.sim.now)
+        for element in self._elements():
+            scrape_element(element, self.metrics)
+        for stack in self._stacks():
+            scrape_stack(stack, self.metrics)
+        return self.metrics
+
+
+class PilotTestbed(IngestTestbed):
+    """A ready-to-run build of the Fig. 4 pilot: the ingest pipe, then
+    Tofino2 —WAN— U55C → DTN 2."""
+
+    def __init__(
+        self,
+        sim: Simulator | None = None,
+        config: PilotConfig | None = None,
+        registry: ModeRegistry | None = None,
+    ) -> None:
+        super().__init__(sim or Simulator(seed=42), config or PilotConfig(), registry)
+
+    # -- construction ----------------------------------------------------------
+
+    def _add_tail(self, topo: Topology) -> None:
+        cfg = self.config
+        self.u55c = topo.add(
+            AlveoNic.u55c(self.sim, "alveo-u55c", mac=topo.allocate_mac(), ip="10.30.0.2")
+        )
+        self.dtn2 = topo.add_host("dtn2", ip="10.30.0.10")
+        self.wan_link = topo.connect(
+            self.tofino,
+            self.u55c,
+            cfg.link_rate_bps,
+            cfg.wan_delay_ns,
+            cfg.mtu_bytes,
+            loss_rate=cfg.wan_loss_rate,
+        )
+        topo.connect(self.u55c, self.dtn2, cfg.link_rate_bps, SHORT_DELAY_NS, cfg.mtu_bytes)
+
+    def _buffer_directory(self) -> BufferDirectory | None:
+        if not self.config.use_directory:
+            return None
+        directory = BufferDirectory()
+        directory.register(self.u280.ip, U280_POSITION, experiments={self.experiment_id})
+        return directory
+
+    def _program_tail(self) -> None:
+        self.u55c_transition = ModeTransitionProgram(
+            self.registry,
+            [
+                TransitionRule(
+                    from_config_id=self.registry.by_name("age-recover").config_id,
+                    to_mode="deliver-check",
+                    deadline_offset_ns=self.config.deadline_offset_ns,
+                    notify_addr=self.dtn1.ip,
+                )
+            ],
+        )
+        self.u55c_transition.install(self.u55c)
+        self.u55c_age = AgeUpdateProgram()
+        self.u55c_age.install(self.u55c)
+
+    def _make_dtn1_senders(self) -> list[MmtSender]:
+        cfg = self.config
+        self.dtn1_buffer: RetransmitBuffer | None = None
+        if not cfg.reliable_from_dtn1:
+            return self._dtn1_senders(self.dtn2.ip, "identify")
+        if cfg.failover_buffer:
+            self.dtn1_buffer = self.dtn1_stack.attach_buffer(cfg.dtn1_buffer_bytes)
+            if self.directory is not None:
+                self.directory.register(
+                    self.dtn1.ip, DTN1_POSITION, experiments={self.experiment_id}
+                )
+        return self._dtn1_senders(
+            self.dtn2.ip,
+            "age-recover",
+            age_budget_ns=cfg.age_budget_ns,
+            buffer_local=self.dtn1_buffer is not None,
+            directory=self.directory,
+            path_position=DTN1_POSITION,
+            degraded_mode="identify",
+        )
+
+    def _attach_tail(self) -> None:
+        cfg = self.config
+        self.dtn2_stack = MmtStack(self.dtn2, self.registry)
+        self.delivered_messages: list[tuple[int, int]] = []  # (time, payload size)
+        self.dtn2_receiver: MmtReceiver = self.dtn2_stack.bind_receiver(
+            PILOT_EXPERIMENT, on_message=self._deliver_at_dtn2, config=cfg.receiver
+        )
+        # INT postcards along U280 → Tofino2 → U55C, sink at DTN 2.
+        self.int_domain: IntDomain | None = None
+        if self.metrics is not None:
+            self.int_domain = IntDomain()
+            self.int_domain.enroll(
+                self.u280, source=True, sample_every=cfg.int_sample_every
+            )
+            self.int_domain.enroll(self.tofino)
+            self.int_domain.enroll(self.u55c)
+            self.dtn2_stack.int_sink = self.int_domain.make_sink(self.metrics)
+
+    def _watch(self, sampler) -> None:
+        from ..obs import watch_pilot
+
+        watch_pilot(sampler, self)
+
+    def _elements(self) -> list:
+        return [*super()._elements(), self.u55c]
+
+    def _stacks(self) -> list[MmtStack]:
+        return [*super()._stacks(), self.dtn2_stack]
+
+    def attach_tracer(self, tracer) -> None:
+        super().attach_tracer(tracer)
+        if self.dtn1_buffer is not None:
+            self.dtn1_buffer.tracer = tracer
+
+    # -- dataflow callbacks ------------------------------------------------------
+
+    def _deliver_at_dtn2(self, packet: Packet, header) -> None:
+        self.delivered_messages.append((self.sim.now, packet.payload_size))
+        fid = header.flow_id or 0
+        self.delivered_by_flow.setdefault(fid, []).append(
+            (self.sim.now, packet.payload_size)
+        )
+
+    # -- driving ---------------------------------------------------------------------
 
     def run(self, extra_ns: int = 0, reconcile: bool = True) -> PilotReport:
         """Run to quiescence (plus ``extra_ns``), reconcile, and report."""
@@ -496,29 +621,16 @@ class PilotTestbed:
         return self.report()
 
     def collect_telemetry(self) -> MetricsRegistry:
-        """Scrape the whole testbed into the registry (end of run).
-
-        The INT sink has been feeding the registry live; this adds the
-        pull side — engine, topology, elements, and endpoint stacks —
-        and returns the registry ready for export.
-        """
-        if self.metrics is None:
-            raise RuntimeError("telemetry disabled; build with PilotConfig(telemetry=True)")
-        scrape_simulator(self.sim, self.metrics)
-        scrape_topology(self.topology, self.metrics, now_ns=self.sim.now)
-        for element in (self.u280, self.tofino, self.u55c):
-            scrape_element(element, self.metrics)
-        for stack in (self.sensor_stack, self.dtn1_stack, self.dtn2_stack):
-            scrape_stack(stack, self.metrics)
+        registry = super().collect_telemetry()
         if self.config.flows > 1:
-            scrape_receiver_flows(self.dtn2_receiver, self.metrics, host=self.dtn2.name)
+            scrape_receiver_flows(self.dtn2_receiver, registry, host=self.dtn2.name)
             scrape_flow_counters(
-                self.tofino.flow_counters(), self.metrics, element=self.tofino.name
+                self.tofino.flow_counters(), registry, element=self.tofino.name
             )
             scrape_flow_residency(
-                self.u280.hbm_flow_occupancy(), self.metrics, host=self.u280.name
+                self.u280.hbm_flow_occupancy(), registry, host=self.u280.name
             )
-        return self.metrics
+        return registry
 
     def flow_report(self) -> dict[int, dict[str, int]]:
         """Per-flow accounting: sent/relayed/delivered plus recovery

@@ -315,11 +315,9 @@ def run_fleet_chaos(cfg: ChaosConfig) -> ChaosRun:
     )
     injector = FaultInjector(farm.sim, plan)
 
-    for fid in range(cfg.fleet_flows):
-        count = base_count + (1 if fid < extra else 0)
-        farm.send_stream(
-            count, payload_size=cfg.payload_size, interval_ns=cfg.interval_ns, flow=fid
-        )
+    farm.send_streams(
+        cfg.messages, payload_size=cfg.payload_size, interval_ns=cfg.interval_ns
+    )
     injector.arm()
     base = farm.run()
 

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..analysis.metrics import jains_fairness
 from ..core.features import MsgType
-from ..daq.generators import DaqStreamSource
-from ..integration.multiflow import MultiFlowOrchestrator, jain_fairness
-from ..netsim.engine import Simulator
-from ..netsim.units import MILLISECOND, SECOND, gbps
+from ..integration.multiflow import MultiFlowOrchestrator
+from ..netsim.units import MILLISECOND, gbps
 from .farm import FarmConfig, FarmReport, ReceiverFarm
 
 
@@ -96,26 +95,21 @@ class FleetReport:
 
 
 class FleetOrchestrator(MultiFlowOrchestrator):
-    """Drives N concurrent DAQ flows through one shared receiver farm."""
+    """Drives N concurrent DAQ flows through one shared receiver farm.
+
+    The inherited sources and ``_send_fn`` drive ``self.testbed`` — the
+    farm speaks the pilot's ``send_message(size, flow, payload)``.
+    """
 
     def __init__(self, config: FleetConfig | None = None) -> None:
-        self.config = config or FleetConfig()
-        cfg = self.config
-        self.sim = Simulator(seed=cfg.seed)
-        self.farm = ReceiverFarm(sim=self.sim, config=cfg.build_farm_config())
-        #: The inherited ``_send_fn`` targets ``self.testbed`` — the
-        #: farm speaks the same ``send_message(size, flow, payload)``.
-        self.testbed = self.farm
-        self.sources: list[DaqStreamSource] = [
-            DaqStreamSource(
-                self.sim,
-                self.process_for(fid),
-                self._send_fn(fid),
-                cfg.duration_ns,
-                rng_name=f"mmt-flow-{fid}",
-            )
-            for fid in range(cfg.flows)
-        ]
+        super().__init__(config or FleetConfig())
+
+    def _build_testbed(self) -> ReceiverFarm:
+        return ReceiverFarm(sim=self.sim, config=self.config.build_farm_config())
+
+    @property
+    def farm(self) -> ReceiverFarm:
+        return self.testbed
 
     def run(self) -> FleetReport:
         cfg = self.config
@@ -126,21 +120,7 @@ class FleetOrchestrator(MultiFlowOrchestrator):
         farm_report = self.farm.run(control_until_ns=cfg.duration_ns)
         per_flow = farm_report.per_flow
         per_node = farm_report.per_node
-        offered = {fid: self.sources[fid].bytes_emitted for fid in range(cfg.flows)}
-
-        normalized = [
-            per_flow[fid]["bytes_delivered"] / offered[fid] if offered[fid] else 0.0
-            for fid in range(cfg.flows)
-        ]
-        last_deliveries = [
-            per_flow[fid]["last_delivery_ns"]
-            for fid in range(cfg.flows)
-            if per_flow[fid]["delivered"]
-        ]
-        total_bytes = sum(row["bytes_delivered"] for row in per_flow.values())
-        span_ns = max(last_deliveries) if last_deliveries else 0
-        goodput = total_bytes * 8 * SECOND / span_ns if span_ns else 0.0
-        spread = max(last_deliveries) - min(last_deliveries) if last_deliveries else 0
+        offered, goodput, flow_fairness, spread = self._aggregate(per_flow)
         fct = {
             fid: per_flow[fid]["last_delivery_ns"] - per_flow[fid]["first_delivery_ns"]
             for fid in range(cfg.flows)
@@ -172,8 +152,8 @@ class FleetOrchestrator(MultiFlowOrchestrator):
             per_flow=per_flow,
             per_node=per_node,
             aggregate_goodput_bps=goodput,
-            flow_fairness=jain_fairness(normalized),
-            node_fairness=jain_fairness(live_bytes),
+            flow_fairness=flow_fairness,
+            node_fairness=jains_fairness(live_bytes),
             completion_spread_ns=spread,
             fct_ns=fct,
             recovery_ns=recovery_ns,

@@ -9,12 +9,7 @@ from .incast import (
     run_incast,
     small_grid,
 )
-from .multiflow import (
-    MultiFlowConfig,
-    MultiFlowOrchestrator,
-    MultiFlowReport,
-    jain_fairness,
-)
+from .multiflow import MultiFlowConfig, MultiFlowOrchestrator, MultiFlowReport
 from .orchestrator import InstrumentRegistration, Orchestrator, TriggerRecord
 from .transport import MmtTriggerTransport, TRIGGER_EXPERIMENT, decode_trigger, encode_trigger
 from .supernova import (
@@ -47,7 +42,6 @@ __all__ = [
     "decode_trigger",
     "encode_trigger",
     "grid_configs",
-    "jain_fairness",
     "run_grid",
     "run_incast",
     "small_grid",

@@ -26,20 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..analysis.metrics import jains_fairness
 from ..daq.generators import DaqStreamSource, PoissonEvents, SteadyReadout, TrafficProcess
 from ..dataplane.pilot import PilotConfig, PilotReport, PilotTestbed
 from ..netsim.engine import Simulator
 from ..netsim.units import MILLISECOND, SECOND, gbps
-
-
-def jain_fairness(values: list[float]) -> float:
-    """Jain's fairness index ``(Σx)² / (n·Σx²)`` — 1.0 is perfectly
-    fair, 1/n is one flow taking everything. Empty/all-zero input is
-    degenerate (nobody was served *unequally*): returns 1.0."""
-    xs = [float(v) for v in values]
-    if not xs or all(x == 0.0 for x in xs):
-        return 1.0
-    return (sum(xs) ** 2) / (len(xs) * sum(x * x for x in xs))
 
 
 @dataclass
@@ -102,7 +93,7 @@ class MultiFlowOrchestrator:
         self.config = config or MultiFlowConfig()
         cfg = self.config
         self.sim = Simulator(seed=cfg.seed)
-        self.testbed = PilotTestbed(sim=self.sim, config=cfg.build_pilot_config())
+        self.testbed = self._build_testbed()
         self.sources: list[DaqStreamSource] = [
             DaqStreamSource(
                 self.sim,
@@ -113,6 +104,9 @@ class MultiFlowOrchestrator:
             )
             for fid in range(cfg.flows)
         ]
+
+    def _build_testbed(self) -> PilotTestbed:
+        return PilotTestbed(sim=self.sim, config=self.config.build_pilot_config())
 
     def process_for(self, flow_id: int) -> TrafficProcess:
         """The workload shape assigned to a flow (see module docstring)."""
@@ -137,22 +131,7 @@ class MultiFlowOrchestrator:
             source.start(0)
         pilot_report = self.testbed.run()
         per_flow = pilot_report.per_flow or self.testbed.flow_report()
-        offered = {fid: self.sources[fid].bytes_emitted for fid in range(cfg.flows)}
-
-        normalized = [
-            per_flow[fid]["bytes_delivered"] / offered[fid] if offered[fid] else 0.0
-            for fid in range(cfg.flows)
-        ]
-        last_deliveries = [
-            per_flow[fid]["last_delivery_ns"]
-            for fid in range(cfg.flows)
-            if per_flow[fid]["delivered"]
-        ]
-        total_bytes = sum(row["bytes_delivered"] for row in per_flow.values())
-        span_ns = max(last_deliveries) if last_deliveries else 0
-        goodput = total_bytes * 8 * SECOND / span_ns if span_ns else 0.0
-        spread = max(last_deliveries) - min(last_deliveries) if last_deliveries else 0
-
+        offered, goodput, fairness, spread = self._aggregate(per_flow)
         return MultiFlowReport(
             flows=cfg.flows,
             duration_ns=cfg.duration_ns,
@@ -160,6 +139,27 @@ class MultiFlowOrchestrator:
             offered_bytes=offered,
             per_flow=per_flow,
             aggregate_goodput_bps=goodput,
-            fairness=jain_fairness(normalized),
+            fairness=fairness,
             completion_spread_ns=spread,
         )
+
+    def _aggregate(
+        self, per_flow: dict[int, dict[str, int]]
+    ) -> tuple[dict[int, int], float, float, int]:
+        """The shared-facility axes over per-flow rows: bytes offered per
+        flow, aggregate goodput, the Jain index over normalized goodput,
+        and the completion spread."""
+        flows = range(self.config.flows)
+        offered = {fid: self.sources[fid].bytes_emitted for fid in flows}
+        normalized = [
+            per_flow[fid]["bytes_delivered"] / offered[fid] if offered[fid] else 0.0
+            for fid in flows
+        ]
+        last_deliveries = [
+            per_flow[fid]["last_delivery_ns"] for fid in flows if per_flow[fid]["delivered"]
+        ]
+        total_bytes = sum(row["bytes_delivered"] for row in per_flow.values())
+        span_ns = max(last_deliveries) if last_deliveries else 0
+        goodput = total_bytes * 8 * SECOND / span_ns if span_ns else 0.0
+        spread = max(last_deliveries) - min(last_deliveries) if last_deliveries else 0
+        return offered, goodput, jains_fairness(normalized), spread

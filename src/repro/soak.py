@@ -472,12 +472,10 @@ def _run_fleet_segment(cfg: SoakConfig) -> tuple[int, int, int, int, int]:
         plan.at(up, lambda v=victim: farm.restore_node(v),
                 kind="node_restore", target=farm.nodes[victim].host.name)
     injector = FaultInjector(farm.sim, plan)
-    for fid in range(cfg.fleet_flows):
-        count = base_count + (1 if fid < extra else 0)
-        farm.send_stream(
-            count, payload_size=cfg.payload_size,
-            interval_ns=cfg.fleet_interval_ns, flow=fid,
-        )
+    farm.send_streams(
+        cfg.fleet_messages, payload_size=cfg.payload_size,
+        interval_ns=cfg.fleet_interval_ns,
+    )
     injector.arm()
     report = farm.run()
     return (

@@ -222,7 +222,6 @@ def scrape_balancer(balancer, registry: MetricsRegistry, element: str | None = N
     registry.counter("balancer_table_updates", **base).set_total(balancer.table_updates)
     registry.counter("balancer_redirects", **base).set_total(balancer.redirects)
     registry.counter("balancer_retx_rebinds", **base).set_total(balancer.retx_rebinds)
-    registry.counter("balancer_follows_dead", **base).set_total(balancer.follows_dead)
     registry.counter("balancer_unsteerable", **base).set_total(balancer.unsteerable)
 
 

@@ -110,9 +110,8 @@ class TestFairness:
     def test_all_zero(self):
         assert jains_fairness([0.0, 0.0]) == 1.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            jains_fairness([])
+    def test_empty_is_fair(self):
+        assert jains_fairness([]) == 1.0
 
 
 def test_completion_fraction():

@@ -178,11 +178,10 @@ class TestControlPlane:
 class TestLivenessAndRetxPolicy:
     """Regression: a window's backend drained or crashed after binding.
 
-    Pre-policy, the balancer steered retransmissions exactly like
-    first-pass DATA, silently following a stale binding into a dead
-    backend. Now liveness is explicit (mark_down/mark_up), bound
-    windows are remapped on crash, and retransmissions obey
-    ``retx_policy`` when they discover a dead binding themselves.
+    The balancer once steered retransmissions into a stale binding's
+    dead backend. Now liveness is explicit (mark_down/mark_up), bound
+    windows are remapped on crash, and any packet that discovers a dead
+    binding itself rebinds the window to a live backend.
     """
 
     def two_backends(self, **kwargs) -> LoadBalancerProgram:
@@ -216,11 +215,10 @@ class TestLivenessAndRetxPolicy:
         assert balancer.route(0, 3, is_retx=True) == survivor
         assert balancer.redirects == 1
 
-    def test_retx_rebind_policy_on_stale_dead_binding(self):
-        """A binding can still point at a dead backend when the crash
-        happened with no live peer to remap to (liveness races the
-        table update). Policy "rebind": the retransmission moves the
-        window to whatever is alive by the time it arrives."""
+    def stale_dead_binding(self):
+        """A balancer whose window (0, 0) is still bound to a dead
+        backend: the crash happened with no live peer to remap to
+        (liveness races the table update), then the peer came back."""
         balancer = self.two_backends()
         first = balancer.route(0, 0)
         other = next(a for a in balancer.backends if a != first)
@@ -228,27 +226,22 @@ class TestLivenessAndRetxPolicy:
         balancer.mark_down(first)  # nothing live: binding stays put
         assert balancer.backend_for(0) == first
         balancer.mark_up(other)
+        return balancer, first, other
+
+    def test_retx_rebind_policy_on_stale_dead_binding(self):
+        """The next packet of a window bound to a dead backend moves the
+        window to whatever is alive by the time it arrives: a
+        retransmission counts one ``retx_rebinds``, first-pass DATA one
+        ``redirects``."""
+        balancer, _first, other = self.stale_dead_binding()
         assert balancer.route(0, 1, is_retx=True) == other
         assert balancer.retx_rebinds == 1
+        assert balancer.redirects == 0
 
-    def test_retx_follow_policy_preserves_stale_steering(self):
-        """Policy "follow" keeps the historical bug observable: the
-        retransmission is steered into the dead backend and counted."""
-        balancer = self.two_backends(retx_policy="follow")
-        first = balancer.route(0, 0)
-        other = next(a for a in balancer.backends if a != first)
-        balancer.mark_down(other)
-        balancer.mark_down(first)
-        balancer.mark_up(other)
-        assert balancer.route(0, 1, is_retx=True) == first
-        assert balancer.follows_dead == 1
-        # First-transmission DATA always rebinds regardless of policy.
+        balancer, _first, other = self.stale_dead_binding()
         assert balancer.route(0, 2) == other
         assert balancer.redirects == 1
-
-    def test_retx_policy_validated(self):
-        with pytest.raises(LoadBalancerError):
-            self.two_backends(retx_policy="punt")
+        assert balancer.retx_rebinds == 0
 
     def test_mark_down_survivors_absorb_new_windows(self, sim):
         _topo, sender, balancer, workers, received, _rx = build(

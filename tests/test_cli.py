@@ -285,7 +285,7 @@ def test_pilot_obs_flags_require_sample_every(capsys, tmp_path):
         assert "--sample-every" in capsys.readouterr().err
 
 
-def test_pilot_farm_sampled_run(capsys, tmp_path):
+def test_pilot_receivers_sampled_run(capsys, tmp_path):
     series = tmp_path / "farm.jsonl"
     code = main([
         "pilot", "--receivers", "4", "--messages", "64",
